@@ -4,8 +4,11 @@
 
 GO ?= go
 
-# Packages with real concurrency (worth the ~100x race-detector slowdown).
-RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/...
+# Packages with real concurrency (worth the ~100x race-detector slowdown),
+# plus the crawl-path scorers whose pooled scratch is shared by shard and
+# dataflow goroutines.
+RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... \
+	./internal/langid/ ./internal/classify/
 
 .PHONY: build test vet lint race chaos supervisor-chaos fuzz bench bench-baseline bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-all alloc-gate trace-golden log-golden doctor-golden series-golden prof-golden shard-determinism verify
 
@@ -49,12 +52,15 @@ supervisor-chaos:
 		-run 'Crash|StepFault|CheckpointSilent|StepShard|RestartShard|Fence|DeliverMail|SentinelErrors' \
 		./internal/synthweb/ ./internal/crawler/ ./internal/crawler/shard/
 
-# Short fuzzing sessions over the HTML pipeline (seeds alone run as part
-# of `make test`).
+# Short fuzzing sessions over the HTML pipeline and the crawl-path
+# scorers, whose targets check the packed scorers against the reference
+# implementations (seeds alone run as part of `make test`).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTokenizeRepairExtract -fuzztime=30s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeEntities -fuzztime=15s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzExtract -fuzztime=30s ./internal/boiler/
+	$(GO) test -run=NONE -fuzz=FuzzIdentify -fuzztime=30s ./internal/langid/
+	$(GO) test -run=NONE -fuzz=FuzzProbRelevant -fuzztime=30s ./internal/classify/
 
 bench:
 	$(GO) test -bench . -benchmem

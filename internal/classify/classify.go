@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Class is a binary relevance label.
@@ -132,24 +133,85 @@ func (nb *NaiveBayes) Clone() *NaiveBayes {
 	return out
 }
 
-// LogPosterior returns the unnormalized log joint probability of each class.
-func (nb *NaiveBayes) logJoint(tokens []string) (lIrr, lRel float64) {
+// logPriors returns each class's log prior and the log denominator of its
+// Laplace-smoothed word likelihoods.
+func (nb *NaiveBayes) logPriors() (prior, denom [2]float64) {
 	totalDocs := nb.docs[0] + nb.docs[1]
 	v := float64(len(nb.vocab))
-	var l [2]float64
 	for c := 0; c < 2; c++ {
-		l[c] = math.Log(float64(nb.docs[c]+1) / float64(totalDocs+2))
-		denom := math.Log(float64(nb.totalWords[c]) + v)
-		for _, w := range tokens {
-			l[c] += math.Log(float64(nb.wordCounts[c][w])+1) - denom
-		}
+		prior[c] = math.Log(float64(nb.docs[c]+1) / float64(totalDocs+2))
+		denom[c] = math.Log(float64(nb.totalWords[c]) + v)
 	}
-	return l[0], l[1]
+	return prior, denom
 }
 
-// ProbRelevant returns P(Relevant | text) in [0, 1].
+// logJoint returns the unnormalized log joint probability of each class.
+func (nb *NaiveBayes) logJoint(tokens []string) (l [2]float64) {
+	l, denom := nb.logPriors()
+	for c := 0; c < 2; c++ {
+		for _, w := range tokens {
+			l[c] += math.Log(float64(nb.wordCounts[c][w])+1) - denom[c]
+		}
+	}
+	return l
+}
+
+// tokenBuf is the pooled buffer ProbRelevant lower-cases one token into.
+type tokenBuf struct{ b []byte }
+
+var tokenPool = sync.Pool{New: func() any { return new(tokenBuf) }}
+
+// ProbRelevant returns P(Relevant | text) in [0, 1]. It equals
+// ProbRelevantTokens(Tokenize(text)) bit for bit, but streams the tokens
+// through a pooled buffer instead of building a string per token.
+//
+//lintx:hotpath relevance classifier, run once per page that passes the crawl filters (§2.1).
 func (nb *NaiveBayes) ProbRelevant(text string) float64 {
-	return nb.ProbRelevantTokens(Tokenize(text))
+	if !nb.Trained() {
+		return 0.5
+	}
+	tb := tokenPool.Get().(*tokenBuf)
+	l, n := nb.streamLogJoint(tb, text)
+	tokenPool.Put(tb)
+	return calibrate(l, n)
+}
+
+// streamLogJoint is logJoint(Tokenize(text)) without the token slice; it
+// also returns the token count. Tokenize's separators are every byte but
+// ASCII letters and digits — each byte of a multi-byte rune included — so
+// scanning bytes finds the same tokens as decoding runes. Both class sums
+// accumulate in token order, as logJoint's do, so the floats are identical.
+func (nb *NaiveBayes) streamLogJoint(tb *tokenBuf, text string) (l [2]float64, n int) {
+	l, denom := nb.logPriors()
+	tok := tb.b[:0]
+	digitsOnly := true
+	for i := 0; i <= len(text); i++ {
+		c := byte(' ') // a separator past the end flushes the last token
+		if i < len(text) {
+			c = text[i]
+		}
+		switch {
+		case c >= 'a' && c <= 'z':
+			tok = append(tok, c)
+			digitsOnly = false
+		case c >= 'A' && c <= 'Z':
+			tok = append(tok, c+32)
+			digitsOnly = false
+		case c >= '0' && c <= '9':
+			tok = append(tok, c)
+		default:
+			if len(tok) >= 2 && !digitsOnly {
+				for k := range l {
+					l[k] += math.Log(float64(nb.wordCounts[k][string(tok)])+1) - denom[k]
+				}
+				n++
+			}
+			tok = tok[:0]
+			digitsOnly = true
+		}
+	}
+	tb.b = tok
+	return l, n
 }
 
 // ProbRelevantTokens is ProbRelevant for pre-tokenized input.
@@ -165,12 +227,17 @@ func (nb *NaiveBayes) ProbRelevantTokens(tokens []string) float64 {
 	if !nb.Trained() {
 		return 0.5
 	}
-	lIrr, lRel := nb.logJoint(tokens)
-	n := float64(len(tokens))
+	return calibrate(nb.logJoint(tokens), len(tokens))
+}
+
+// calibrate turns the class log joints of a tokens-long document into the
+// length-calibrated P(Relevant) (see ProbRelevantTokens).
+func calibrate(l [2]float64, tokens int) float64 {
+	n := float64(tokens)
 	if n < 1 {
 		n = 1
 	}
-	perToken := (lRel - lIrr) / n
+	perToken := (l[Relevant] - l[Irrelevant]) / n
 	return 1 / (1 + math.Exp(-8*perToken))
 }
 

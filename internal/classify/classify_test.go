@@ -2,6 +2,7 @@ package classify
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"webtextie/internal/rng"
@@ -173,5 +174,73 @@ func BenchmarkClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = nb.Classify(text)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestProbRelevantAllocFree pins the hot-path contract: once the token
+// buffer pool is warm, scoring a page allocates nothing.
+func TestProbRelevantAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	nb := trainedModel(t)
+	_, extracted, _ := equivalenceTexts()
+	page := extracted[0]
+	for _, text := range extracted {
+		if len(text) > len(page) {
+			page = text
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = nb.ProbRelevant(page) }); allocs != 0 {
+		t.Fatalf("ProbRelevant allocates %v times per page, want 0", allocs)
+	}
+}
+
+// TestConcurrentProbRelevantMatchesSerial shares one model between 8
+// goroutines, as the crawl fleet's shards and the dataflow workers do;
+// under -race this also proves the pooled token buffer is never shared.
+func TestConcurrentProbRelevantMatchesSerial(t *testing.T) {
+	nb := trainedModel(t)
+	gold, extracted, random := equivalenceTexts()
+	texts := append(append(append([]string(nil), gold...), extracted...), random...)
+	want := make([]float64, len(texts))
+	for i, text := range texts {
+		want[i] = nb.ProbRelevant(text)
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < w+len(texts); i++ {
+				j := i % len(texts)
+				if got := nb.ProbRelevant(texts[j]); got != want[j] {
+					t.Errorf("worker %d: ProbRelevant(text %d) = %v, serial %v", w, j, got, want[j])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// BenchmarkProbRelevant measures the crawler's relevance score over the
+// boiler-extracted net texts of synthweb pages.
+func BenchmarkProbRelevant(b *testing.B) {
+	nb := trainedModel(b)
+	_, texts, _ := equivalenceTexts()
+	bytes := 0
+	for _, text := range texts {
+		bytes += len(text)
+	}
+	b.SetBytes(int64(bytes / len(texts)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = nb.ProbRelevant(texts[i%len(texts)])
 	}
 }

@@ -3,19 +3,42 @@
 // written in English are discarded because the downstream IE tools are
 // language-sensitive. The method is Cavnar-Trenkle rank-order profiles over
 // character trigrams, trained here on built-in seed text per language.
+//
+// Trigrams are byte trigrams of the normalized text, packed big-endian into
+// a uint32 so that integer order equals the byte order of the 3-byte
+// strings. A document is normalized and counted once, in pooled scratch,
+// and scored against every language with one lookup per trigram in a
+// merged index, so identification allocates nothing per call.
 package langid
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
-	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // profileSize is the number of top n-grams kept per language profile.
 const profileSize = 300
 
-// Identifier scores text against a set of language profiles.
+// absent marks a trigram missing from a language's profile in the merged
+// rank index.
+const absent = ^uint16(0)
+
+// Identifier scores text against a set of language profiles. It is safe
+// for concurrent Identify/IsEnglish calls; Train must not run concurrently
+// with them.
 type Identifier struct {
-	profiles map[string]map[string]int // lang -> ngram -> rank
+	profiles map[string][]uint32 // lang -> packed trigrams in rank order
+
+	// The merged index, rebuilt by Train: langs holds the language codes
+	// sorted, index maps a packed trigram to the offset of its row in
+	// ranks, and ranks[row+l] is the trigram's rank in langs[l]'s profile
+	// (absent if it is not in it).
+	langs []string
+	index map[uint32]int32
+	ranks []uint16
 }
 
 // builtin seed text per language; a few hundred characters of common
@@ -43,7 +66,7 @@ deze over zo kan geen hem dit onder tegen al waren veel meer doen moet`,
 
 // New builds an identifier with the built-in language profiles.
 func New() *Identifier {
-	id := &Identifier{profiles: map[string]map[string]int{}}
+	id := &Identifier{profiles: map[string][]uint32{}}
 	for lang, seed := range builtinSeeds {
 		id.Train(lang, seed)
 	}
@@ -52,100 +75,246 @@ func New() *Identifier {
 
 // Train adds or replaces the profile for a language from sample text.
 func (id *Identifier) Train(lang, sample string) {
-	id.profiles[lang] = rankProfile(sample)
+	s := scratchPool.Get().(*scratch)
+	top, _ := s.rank(sample)
+	prof := make([]uint32, len(top))
+	for i, k := range top {
+		prof[i] = uint32(k)
+	}
+	scratchPool.Put(s)
+	id.profiles[lang] = prof
+	id.reindex()
+}
+
+// reindex rebuilds the merged trigram -> per-language rank index.
+func (id *Identifier) reindex() {
+	langs := make([]string, 0, len(id.profiles))
+	for l := range id.profiles {
+		langs = append(langs, l)
+	}
+	sort.Strings(langs)
+	index := map[uint32]int32{}
+	var ranks []uint16
+	for li, l := range langs {
+		for r, g := range id.profiles[l] {
+			row, ok := index[g]
+			if !ok {
+				row = int32(len(ranks))
+				index[g] = row
+				for range langs {
+					ranks = append(ranks, absent)
+				}
+			}
+			ranks[int(row)+li] = uint16(r)
+		}
+	}
+	id.langs, id.index, id.ranks = langs, index, ranks
 }
 
 // Languages returns the known language codes, sorted.
 func (id *Identifier) Languages() []string {
-	out := make([]string, 0, len(id.profiles))
-	for l := range id.profiles {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(id.langs)
 }
 
-// rankProfile computes the rank-ordered trigram profile of text.
-func rankProfile(text string) map[string]int {
-	counts := ngramCounts(text)
-	type kv struct {
-		g string
-		n int
-	}
-	all := make([]kv, 0, len(counts))
-	for g, n := range counts {
-		all = append(all, kv{g, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].g < all[j].g
-	})
-	if len(all) > profileSize {
-		all = all[:profileSize]
-	}
-	ranks := make(map[string]int, len(all))
-	for i, e := range all {
-		ranks[e.g] = i
-	}
-	return ranks
+// scratch is the per-call working memory of one identification. It lives
+// in a sync.Pool so that concurrent callers sharing one Identifier (crawl
+// shards, dataflow workers) never share buffers.
+type scratch struct {
+	norm  []byte   // normalized text
+	slots []uint64 // open-addressed trigram counts: key<<32 | count, 0 = empty
+	keys  []uint64 // distinct trigrams as (count desc, key asc) sort keys
+	dist  []int    // per-language out-of-place distance
 }
 
-func ngramCounts(text string) map[string]int {
-	norm := normalize(text)
-	counts := map[string]int{}
-	for i := 0; i+3 <= len(norm); i++ {
-		counts[norm[i:i+3]]++
-	}
-	return counts
-}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// normalize lower-cases and collapses non-letters to single spaces so that
-// profiles capture letter sequences, not punctuation.
-func normalize(text string) string {
-	var b strings.Builder
-	b.Grow(len(text))
+// normalize appends text to dst lower-cased, with every run of non-letters
+// collapsed to a single space, so that profiles capture letter sequences,
+// not punctuation. Runes above ASCII count as letters; an invalid byte
+// becomes U+FFFD, as ranging over the string decodes it.
+func normalize(dst []byte, text string) []byte {
 	prevSpace := true
-	for _, r := range text {
-		switch {
-		case r >= 'A' && r <= 'Z':
-			b.WriteRune(r + 32)
+	for i := 0; i < len(text); {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(text[i:])
+			dst = utf8.AppendRune(dst, r)
 			prevSpace = false
-		case r >= 'a' && r <= 'z' || r > 127:
-			b.WriteRune(r)
+			i += size
+			continue
+		}
+		i++
+		switch {
+		case c >= 'A' && c <= 'Z':
+			dst = append(dst, c+32)
+			prevSpace = false
+		case c >= 'a' && c <= 'z':
+			dst = append(dst, c)
 			prevSpace = false
 		default:
 			if !prevSpace {
-				b.WriteByte(' ')
+				dst = append(dst, ' ')
 				prevSpace = true
 			}
 		}
 	}
-	return b.String()
+	return dst
+}
+
+// rank normalizes text and counts its byte trigrams. It returns the top
+// profileSize distinct trigrams in rank order (count descending, trigram
+// ascending), each as a sort key whose low 32 bits are the packed trigram,
+// and the number of distinct trigrams. The returned slice aliases s and is
+// valid until s is reused.
+func (s *scratch) rank(text string) (top []uint64, distinct int) {
+	s.norm = normalize(s.norm[:0], text)
+	norm := s.norm
+	keys := s.keys[:0]
+	if len(norm) >= 3 {
+		// At most len(norm)-2 distinct trigrams: a table of twice that
+		// (rounded up to a power of two) keeps the load factor <= 1/2.
+		shift := bits.LeadingZeros32(uint32(2*(len(norm)-2) - 1)) // 32 - log2(size)
+		size := 1 << (32 - shift)
+		if len(s.slots) < size {
+			s.slots = make([]uint64, size)
+		}
+		tab := s.slots[:size]
+		mask := uint32(size - 1)
+		g := uint32(norm[0])<<8 | uint32(norm[1])
+		for _, c := range norm[2:] {
+			g = (g<<8 | uint32(c)) & 0xFFFFFF
+			// Normalized text has no NUL byte, so no trigram packs to 0.
+			h := (g * 0x9E3779B1) >> shift
+			for {
+				e := tab[h]
+				if e == 0 {
+					tab[h] = uint64(g)<<32 | 1
+					keys = append(keys, uint64(h))
+					break
+				}
+				if uint32(e>>32) == g {
+					tab[h] = e + 1
+					break
+				}
+				h = (h + 1) & mask
+			}
+		}
+		// Turn each occupied slot into its sort key and empty the slot
+		// for the next call.
+		for i, h := range keys {
+			e := tab[h]
+			tab[h] = 0
+			keys[i] = uint64(^uint32(e))<<32 | e>>32
+		}
+	}
+	s.keys = keys
+	distinct = len(keys)
+	if distinct > profileSize {
+		selectSmallest(keys, profileSize)
+		keys = keys[:profileSize]
+	}
+	slices.Sort(keys)
+	return keys, distinct
+}
+
+// selectSmallest reorders a (distinct values) so that a[:k] holds its k
+// smallest elements, in no particular order: quickselect with a
+// median-of-three pivot. The order of a follows the page text, so a
+// hostile page could line up bad pivots; past 2·log2(n) rounds the rest
+// is sorted instead, which bounds the cost at O(n log n).
+func selectSmallest(a []uint64, k int) {
+	lo, hi := 0, len(a)-1
+	for rounds := 2 * bits.Len(uint(len(a))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(a[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		// a[lo] <= a[mid] <= a[hi]: partition a[lo:hi] around a[mid],
+		// parked at hi-1 (a[hi] is already on the right side).
+		a[mid], a[hi-1] = a[hi-1], a[mid]
+		pivot := a[hi-1]
+		p := lo
+		for i := lo; i < hi-1; i++ {
+			if a[i] < pivot {
+				a[i], a[p] = a[p], a[i]
+				p++
+			}
+		}
+		a[p], a[hi-1] = a[hi-1], a[p]
+		switch {
+		case p == k:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
 }
 
 // Identify returns the best-matching language and a confidence in (0, 1].
 // Short or empty inputs return ("", 0): the paper's crawler separately
-// drops too-short pages, so no guess is better than a wild one.
+// drops too-short pages, so no guess is better than a wild one. On an
+// exact distance tie the lowest language code wins, with confidence 0.5.
+//
+//lintx:hotpath language filter, run once per fetched page on the crawl path (§2.1).
 func (id *Identifier) Identify(text string) (lang string, confidence float64) {
-	counts := ngramCounts(text)
-	if len(counts) < 10 {
+	s := scratchPool.Get().(*scratch)
+	lang, confidence = id.identify(s, text)
+	scratchPool.Put(s)
+	return lang, confidence
+}
+
+func (id *Identifier) identify(s *scratch, text string) (string, float64) {
+	doc, distinct := s.rank(text)
+	if distinct < 10 {
 		return "", 0
 	}
-	doc := rankProfile(text)
-	best, second := "", ""
-	bestD, secondD := int(^uint(0)>>1), int(^uint(0)>>1)
-	for l, prof := range id.profiles {
-		d := outOfPlace(doc, prof)
-		if d < bestD {
-			second, secondD = best, bestD
-			best, bestD = l, d
-		} else if d < secondD {
-			second, secondD = l, d
+	nl := len(id.langs)
+	if cap(s.dist) < nl {
+		s.dist = make([]int, nl)
+	}
+	dist := s.dist[:nl]
+	clear(dist)
+	miss := 0
+	for r, k := range doc {
+		row, ok := id.index[uint32(k)]
+		if !ok {
+			miss++
+			continue
+		}
+		for l, pr := range id.ranks[row : int(row)+nl] {
+			switch {
+			case pr == absent:
+				dist[l] += profileSize
+			case int(pr) > r:
+				dist[l] += int(pr) - r
+			default:
+				dist[l] += r - int(pr)
+			}
 		}
 	}
-	_ = second
+	best := ""
+	bestD, secondD := int(^uint(0)>>1), int(^uint(0)>>1)
+	for l, d := range dist {
+		d += miss * profileSize
+		if d < bestD {
+			secondD = bestD
+			best, bestD = id.langs[l], d
+		} else if d < secondD {
+			secondD = d
+		}
+	}
 	if best == "" {
 		return "", 0
 	}
@@ -161,22 +330,4 @@ func (id *Identifier) Identify(text string) (lang string, confidence float64) {
 func (id *Identifier) IsEnglish(text string) bool {
 	lang, conf := id.Identify(text)
 	return lang == "en" && conf > 0.5
-}
-
-// outOfPlace is the Cavnar-Trenkle rank displacement distance.
-func outOfPlace(doc, prof map[string]int) int {
-	d := 0
-	for g, r := range doc {
-		pr, ok := prof[g]
-		if !ok {
-			d += profileSize
-			continue
-		}
-		if pr > r {
-			d += pr - r
-		} else {
-			d += r - pr
-		}
-	}
-	return d
 }
